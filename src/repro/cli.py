@@ -283,12 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         "baseline and fail (exit 1) past --max-regression",
     )
     bench.add_argument(
-        "--check-against",
-        default=None,
-        metavar="BASELINE_JSON",
-        help="like --compare without the delta table (older spelling)",
-    )
-    bench.add_argument(
         "--max-regression",
         type=float,
         default=0.30,
@@ -417,12 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BASELINE_JSON",
         help="print per-workload speedup deltas vs this committed "
         "baseline and fail (exit 1) past --max-regression",
-    )
-    ens_bench.add_argument(
-        "--check-against",
-        default=None,
-        metavar="BASELINE_JSON",
-        help="like --compare without the delta table (older spelling)",
     )
     ens_bench.add_argument(
         "--max-regression",
@@ -842,31 +830,26 @@ def _command_trace(args: argparse.Namespace) -> int:
 
 
 def _gate_bench_report(args: argparse.Namespace, report, baseline) -> int:
-    """Shared ``--compare``/``--check-against`` epilogue of both benches.
+    """Shared ``--compare`` epilogue of both benches.
 
-    With ``--compare`` the per-workload speedup deltas are printed
-    before the gate; either flag fails (exit 1) on a regression past
-    ``--max-regression``.
+    Prints the per-workload speedup deltas, then fails (exit 1) on a
+    regression past ``--max-regression``.
     """
     from repro.perf import bench
 
-    baseline_path = (
-        args.compare if args.compare is not None else args.check_against
-    )
-    if args.compare is not None:
-        print(f"comparison vs {baseline_path}:")
-        for line in bench.compare_reports(report, baseline):
-            print(f"  {line}")
+    print(f"comparison vs {args.compare}:")
+    for line in bench.compare_reports(report, baseline):
+        print(f"  {line}")
     failures = bench.check_regression(
         report, baseline, max_regression=args.max_regression
     )
     if failures:
-        print(f"REGRESSION vs {baseline_path}:")
+        print(f"REGRESSION vs {args.compare}:")
         for failure in failures:
             print(f"  {failure}")
         return 1
     print(
-        f"no regression vs {baseline_path} "
+        f"no regression vs {args.compare} "
         f"(tolerance {args.max_regression:.0%})"
     )
     return 0
@@ -875,11 +858,8 @@ def _gate_bench_report(args: argparse.Namespace, report, baseline) -> int:
 def _command_bench(args: argparse.Namespace) -> int:
     from repro.perf import bench
 
-    baseline_path = (
-        args.compare if args.compare is not None else args.check_against
-    )
     baseline = (
-        bench.load_report(baseline_path) if baseline_path is not None else None
+        bench.load_report(args.compare) if args.compare is not None else None
     )
     report = bench.run_bench(
         quick=args.quick,
@@ -900,11 +880,8 @@ def _command_bench(args: argparse.Namespace) -> int:
 def _command_ensemble_bench(args: argparse.Namespace) -> int:
     from repro.perf import bench
 
-    baseline_path = (
-        args.compare if args.compare is not None else args.check_against
-    )
     baseline = (
-        bench.load_report(baseline_path) if baseline_path is not None else None
+        bench.load_report(args.compare) if args.compare is not None else None
     )
     report = bench.run_ensemble_bench(
         quick=args.quick,

@@ -15,21 +15,48 @@ solution under piecewise-constant power is
     T^{+} = A_d T + S (P_{ext} + g_{amb} T_{amb} e_{spr})
 
 with ``A_d = exp(M dt)``, ``S = M^{-1} (A_d - I) N``, ``M = -C^{-1} G``
-and ``N = C^{-1}``.  Both matrices are precomputed once, so a step is a
-5x5 matrix-vector product: unconditionally stable and exact regardless
-of the tick length (important because the experiments sweep sampling
-intervals up to 10 s).
+and ``N = C^{-1}``.  Both matrices are computed once per process for
+each distinct ``(floorplan, config, dt)`` (:func:`discrete_propagator`),
+so a step is a 5x5 matrix-vector product: unconditionally stable and
+exact regardless of the tick length (important because the experiments
+sweep sampling intervals up to 10 s).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from functools import lru_cache
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import expm
 
 from repro.config import ThermalConfig
 from repro.thermal.floorplan import Floorplan
+
+
+@lru_cache(maxsize=64)
+def discrete_propagator(
+    floorplan: Floorplan, config: ThermalConfig, dt: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The exact discrete matrices ``(A_d, S)`` of the network at tick ``dt``.
+
+    Cached per process: every chip of a sweep shares one platform, and
+    ``scipy.linalg.expm`` wakes the BLAS thread pool, which then spins
+    for far longer than the 5x5 arithmetic takes.  The arrays are shared
+    by every model with the same key, so both are returned read-only.
+    """
+    g = floorplan.conductance_matrix(config)
+    inv_c = np.diag(1.0 / floorplan.capacitance_vector(config))
+    m = -inv_c @ g
+    propagator = expm(m * dt)
+    # S = M^{-1} (A_d - I) C^{-1}; M is invertible because the network
+    # is grounded through the ambient leg.
+    input_matrix = np.linalg.solve(
+        m, (propagator - np.eye(floorplan.num_cores + 1)) @ inv_c
+    )
+    propagator.setflags(write=False)
+    input_matrix.setflags(write=False)
+    return propagator, input_matrix
 
 
 class RCThermalModel:
@@ -62,21 +89,13 @@ class RCThermalModel:
         self.dt = dt
         self._num_nodes = floorplan.num_cores + 1
 
-        g = floorplan.conductance_matrix(config)
-        caps = floorplan.capacitance_vector(config)
         self._ambient_unit = floorplan.ambient_vector(config)
         self._ambient_c = config.ambient_c
         self._ambient_injection = self._ambient_unit * config.ambient_c
-
-        inv_c = np.diag(1.0 / caps)
-        m = -inv_c @ g
-        self._propagator = expm(m * dt)
-        # S = M^{-1} (A_d - I) C^{-1}; M is invertible because the network
-        # is grounded through the ambient leg.
-        self._input_matrix = np.linalg.solve(
-            m, (self._propagator - np.eye(self._num_nodes)) @ inv_c
+        self._propagator, self._input_matrix = discrete_propagator(
+            floorplan, config, dt
         )
-        self._g = g
+        self._g = floorplan.conductance_matrix(config)
 
         if initial_temps_c is None:
             self._temps = np.full(self._num_nodes, config.ambient_c, dtype=float)

@@ -7,6 +7,8 @@ Everything here guards the PR's core claim — the optimized tick loop is
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,28 @@ class TestThermalFastPath:
         model = RCThermalModel(plan, PLATFORM.thermal, PLATFORM.dt)
         with pytest.raises(ValueError):
             model.step([1.0])  # wrong length
+
+
+class TestNoSpinningThreadPools:
+    def test_scalar_runs_stay_on_one_core(self):
+        """Back-to-back scalar runs must not keep a second core busy.
+
+        ``time.process_time`` counts every thread of the process, so a
+        library thread pool that busy-waits after each job (OpenBLAS did,
+        after every per-chip ``scipy.linalg.expm``) pushes CPU time well
+        past wall time.  The guard is one-sided: contention on the host
+        only stretches wall time and so lowers the ratio.
+        """
+        from repro.experiments.runner import run_workload
+
+        run_workload("tachyon", policy="linux", iteration_scale=0.1)
+        wall0, cpu0 = time.perf_counter(), time.process_time()
+        for seed in range(1, 5):
+            for app in ("tachyon", "mpeg_dec"):
+                run_workload(app, policy="linux", seed=seed, iteration_scale=0.15)
+        wall = time.perf_counter() - wall0
+        cpu = time.process_time() - cpu0
+        assert cpu <= 1.25 * wall, f"{cpu:.3f} CPU-s in {wall:.3f} s wall"
 
 
 class TestThermalProfile:
@@ -220,8 +244,11 @@ class TestBenchHarness:
         from repro.cli import build_parser
 
         parser = build_parser()
-        args = parser.parse_args(["bench", "--quick", "--check-against", "x.json"])
-        assert args.quick and args.check_against == "x.json"
+        args = parser.parse_args(["bench", "--quick", "--compare", "x.json"])
+        assert args.quick and args.compare == "x.json"
+        for command in (["bench"], ["ensemble", "bench"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args([*command, "--check-against", "x.json"])
         args = parser.parse_args(["run", "tachyon", "--profile"])
         assert args.profile
 

@@ -4,11 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
-from repro.config import SensorConfig, ThermalConfig, default_reliability_config
+from repro.config import (
+    PlatformConfig,
+    SensorConfig,
+    ThermalConfig,
+    default_reliability_config,
+)
+from repro.soc.chip import Chip
+from repro.thermal import rc_model
 from repro.thermal.floorplan import Floorplan
 from repro.thermal.profile import ThermalProfile
-from repro.thermal.rc_model import RCThermalModel
+from repro.thermal.rc_model import RCThermalModel, discrete_propagator
 from repro.thermal.sensors import SensorBank
 
 THERMAL = ThermalConfig()
@@ -145,6 +153,110 @@ def test_steady_state_above_ambient(powers):
     model = RCThermalModel(Floorplan.grid_2x2(), THERMAL, dt=0.1)
     steady = model.steady_state(powers)
     assert np.all(steady >= THERMAL.ambient_c - 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Per-process propagator cache
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def expm_calls(monkeypatch):
+    """Count ``expm`` calls made by the propagator, from an empty cache."""
+    calls = []
+
+    def counting_expm(matrix):
+        calls.append(matrix)
+        return expm(matrix)
+
+    monkeypatch.setattr(rc_model, "expm", counting_expm)
+    discrete_propagator.cache_clear()
+    yield calls
+    discrete_propagator.cache_clear()
+
+
+def _uncached_matrices(floorplan, config, dt):
+    """The seed constructor's arithmetic, run outside the cache."""
+    g = floorplan.conductance_matrix(config)
+    inv_c = np.diag(1.0 / floorplan.capacitance_vector(config))
+    m = -inv_c @ g
+    propagator = expm(m * dt)
+    input_matrix = np.linalg.solve(
+        m, (propagator - np.eye(floorplan.num_cores + 1)) @ inv_c
+    )
+    return propagator, input_matrix
+
+
+def test_chips_on_one_platform_share_one_expm(expm_calls):
+    platform = PlatformConfig()
+    chips = [Chip(platform, seed=seed) for seed in range(4)]
+    assert len(expm_calls) == 1
+    first = chips[0].thermal
+    for chip in chips[1:]:
+        assert chip.thermal._propagator is first._propagator
+        assert chip.thermal._input_matrix is first._input_matrix
+
+
+def test_new_dt_or_config_adds_one_expm(expm_calls):
+    plan = Floorplan.grid_2x2()
+    RCThermalModel(plan, THERMAL, dt=0.1)
+    RCThermalModel(plan, THERMAL, dt=0.1)
+    assert len(expm_calls) == 1
+    RCThermalModel(plan, THERMAL, dt=0.2)
+    RCThermalModel(plan, THERMAL, dt=0.2)
+    assert len(expm_calls) == 2
+    hotter = ThermalConfig(ambient_c=35.0)
+    RCThermalModel(plan, hotter, dt=0.1)
+    RCThermalModel(plan, hotter, dt=0.1)
+    assert len(expm_calls) == 3
+
+
+@pytest.mark.parametrize(
+    "floorplan",
+    [Floorplan.grid_2x2(), Floorplan.line(2), Floorplan.line(3), Floorplan.line(6)],
+    ids=["grid_2x2", "line2", "line3", "line6"],
+)
+@pytest.mark.parametrize("dt", [0.001, 0.01, 0.1, 0.5, 10.0])
+def test_cached_matrices_bitwise_equal_uncached(floorplan, dt):
+    model = RCThermalModel(floorplan, THERMAL, dt=dt)
+    propagator, input_matrix = _uncached_matrices(floorplan, THERMAL, dt)
+    assert model._propagator.tobytes() == propagator.tobytes()
+    assert model._input_matrix.tobytes() == input_matrix.tobytes()
+
+
+def test_cached_matrices_are_read_only(model):
+    for matrix in (model._propagator, model._input_matrix):
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 0.0
+
+
+def test_models_sharing_a_key_keep_independent_state():
+    plan = Floorplan.grid_2x2()
+    a = RCThermalModel(plan, THERMAL, dt=0.1)
+    b = RCThermalModel(plan, THERMAL, dt=0.1)
+    fresh = RCThermalModel(plan, THERMAL, dt=0.1)
+    assert a._propagator is b._propagator
+    ambient = [THERMAL.ambient_c] * 4
+
+    a.step([5.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(b.core_temps_c(), ambient)
+
+    a.set_state([40.0, 41.0, 42.0, 43.0, 35.0])
+    assert np.array_equal(b.node_temps_c(), ambient + [THERMAL.ambient_c])
+
+    a.set_ambient_c(25.0)
+    assert a.ambient_c == 25.0 and b.ambient_c == THERMAL.ambient_c
+    assert np.array_equal(b.steady_state([0.0] * 4), fresh.steady_state([0.0] * 4))
+
+    b.warm_start([6.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(a.core_temps_c(), [40.0, 41.0, 42.0, 43.0])
+
+    # b still steps exactly as an untouched model would.
+    fresh.warm_start([6.0, 0.0, 0.0, 0.0])
+    for model in (b, fresh):
+        model.step([1.0, 2.0, 3.0, 4.0])
+    assert b.node_temps_c().tobytes() == fresh.node_temps_c().tobytes()
 
 
 # ---------------------------------------------------------------------------
