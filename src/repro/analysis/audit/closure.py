@@ -105,10 +105,11 @@ _CLOSURE_CACHE: Dict[str, ClosureReport] = {}
 def closure_report(root: Optional[Path] = None) -> ClosureReport:
     """The closure report for a package tree, memoised per resolved root.
 
-    Parsing and fingerprinting the whole package costs a few hundred
-    milliseconds, and job-key derivation calls this for every spec, so
-    the report is computed once per (process, root).  Tests that edit a
-    tree in place must call :func:`clear_closure_cache` between edits.
+    Parsing and fingerprinting the closure's modules costs well over
+    half a second, and job-key derivation calls this for every spec, so
+    the report is computed once per (process, root).  Only modules the
+    closure reaches are parsed.  Tests that edit a tree in place must
+    call :func:`clear_closure_cache` between edits.
     """
     key = str(Path(root).resolve()) if root is not None else ""
     cached = _CLOSURE_CACHE.get(key)

@@ -122,11 +122,11 @@ def audit_project(
 ) -> AuditReport:
     """Audit a package tree (default: the installed ``repro`` package).
 
-    Builds the project model once and shares it between the closure
-    digest, the pairing table and every rule.
+    Builds the project model once, forces every module of it, and shares
+    it between the closure digest, the pairing table and every rule.
     """
     resolved_baseline = baseline if baseline is not None else AuditBaseline()
-    model = ProjectModel.build(root)
+    model = ProjectModel.build(root).force()
     report = AuditReport(rules=build_audit_rules(rules))
     report.files = len(model.modules)
     report.closure = compute_closure(model)

@@ -77,35 +77,42 @@ def marker_for(node: ast.stmt, markers: Dict[int, Marker]) -> Union[Marker, None
     return None
 
 
-_DOCSTRING_OWNERS = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+#: Node types whose body may open with a docstring.
+DOCSTRING_OWNERS = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+DocstringOwner = Union[ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef]
+
+
+def strip_docstring(owner: DocstringOwner) -> None:
+    """Remove ``owner``'s own docstring expression, if any, in place."""
+    body = owner.body
+    if (
+        body
+        and isinstance(body[0], ast.Expr)
+        and isinstance(body[0].value, ast.Constant)
+        and isinstance(body[0].value.value, str)
+    ):
+        del body[0]
 
 
 def strip_docstrings(node: ast.AST) -> None:
     """Remove every docstring expression from ``node``'s subtree, in place.
 
-    Applied once per parsed module by the project model, so the
-    fingerprint helpers below can ``ast.dump`` without deep-copying
-    (which dominates whole-package fingerprinting time otherwise).
+    The project model instead calls :func:`strip_docstring` on the
+    owners its single walk over each module collected, so the
+    fingerprint helpers below can ``ast.dump`` without deep-copying.
     """
     for child in ast.walk(node):
-        if not isinstance(child, _DOCSTRING_OWNERS):
-            continue
-        body = child.body
-        if (
-            body
-            and isinstance(body[0], ast.Expr)
-            and isinstance(body[0].value, ast.Constant)
-            and isinstance(body[0].value.value, str)
-        ):
-            del body[0]
+        if isinstance(child, DOCSTRING_OWNERS):
+            strip_docstring(child)
 
 
 def normalized_dump(node: ast.AST) -> str:
     """``ast.dump`` of ``node`` with docstrings and locations stripped.
 
     Deep-copies first, so the caller's AST is untouched; the project
-    model uses the in-place :func:`strip_docstrings` +
-    :func:`fingerprint_node` path instead to avoid the copy.
+    model strips in place and hashes with :func:`fingerprint_node`
+    instead, to avoid the copy.
     """
     clone = copy.deepcopy(node)
     strip_docstrings(clone)

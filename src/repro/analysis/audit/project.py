@@ -1,10 +1,12 @@
 """The AST-driven project model: modules, symbols, import/call graph.
 
-A :class:`ProjectModel` parses every source file of a package tree into
-the lint layer's :class:`~repro.analysis.lint.context.ModuleContext`,
-computes normalized behavior fingerprints (see
-:mod:`repro.analysis.audit.fingerprint`) per module and per top-level
-definition, and resolves a module-level dependency graph:
+A :class:`ProjectModel` indexes every source file of a package tree by
+dotted module name, and parses a module only the first time something
+asks for it.  Parsing builds the lint layer's
+:class:`~repro.analysis.lint.context.ModuleContext`, the module's
+normalized behavior fingerprint (see
+:mod:`repro.analysis.audit.fingerprint`) and its resolved dependency
+edges:
 
 * every ``import``/``from ... import`` — including lazy imports inside
   function bodies — adds an edge to the imported module *and* to each
@@ -15,27 +17,52 @@ definition, and resolves a module-level dependency graph:
   the longest matching module prefix.
 
 The graph is what :mod:`repro.analysis.audit.closure` walks to derive
-the behavior-closure digest, and what the audit rules use to decide
-which modules are reachable from the experiment engine's worker
-processes.
+the behavior-closure digest, so the digest parses only the closure's
+members.  The audit forces every module (:meth:`ProjectModel.force`)
+before its rules decide which modules are reachable from the experiment
+engine's worker processes.  Per-definition fingerprints and opt-out
+markers are derived on first read.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.analysis.audit.fingerprint import (
+    DOCSTRING_OWNERS,
+    DocstringOwner,
     Marker,
     fingerprint_module,
     fingerprint_node,
     marker_for,
     parse_markers,
-    strip_docstrings,
+    strip_docstring,
 )
-from repro.analysis.lint.context import ModuleContext, module_for_path
+from repro.analysis.lint.context import (
+    ModuleContext,
+    add_import_aliases,
+    module_for_path,
+)
+
+#: Every marker comment contains this token; files without it skip the scan.
+_MARKER_TOKEN = "behavior-irrelevant"
+
+Definition = Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef]
 
 
 @dataclass(frozen=True)
@@ -46,6 +73,13 @@ class SymbolInfo:
     kind: str
     line: int
     fingerprint: str
+
+
+def _definitions(tree: ast.Module) -> Iterator[Definition]:
+    """Every top-level ``def``/``class`` of a module, in source order."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield stmt
 
 
 @dataclass
@@ -59,12 +93,38 @@ class ModuleInfo:
     imports: Tuple[str, ...] = ()
     #: Normalized whole-module fingerprint (opt-outs excluded).
     fingerprint: str = ""
-    #: Fingerprints of every top-level ``def``/``class``, by name.
-    symbols: Dict[str, SymbolInfo] = field(default_factory=dict)
-    #: Symbol name -> reason for every valid behavior-irrelevant marker.
-    irrelevant: Dict[str, str] = field(default_factory=dict)
-    #: Line numbers of reasonless behavior-irrelevant markers.
-    malformed_markers: Tuple[int, ...] = ()
+    #: Every behavior-irrelevant marker comment, keyed by line.
+    markers: Dict[int, Marker] = field(default_factory=dict)
+
+    @cached_property
+    def symbols(self) -> Dict[str, SymbolInfo]:
+        """Fingerprints of every top-level ``def``/``class``, by name."""
+        return {
+            stmt.name: SymbolInfo(
+                name=stmt.name,
+                kind="class" if isinstance(stmt, ast.ClassDef) else "function",
+                line=stmt.lineno,
+                fingerprint=fingerprint_node(stmt),
+            )
+            for stmt in _definitions(self.ctx.tree)
+        }
+
+    @cached_property
+    def irrelevant(self) -> Dict[str, str]:
+        """Symbol name -> reason for every valid behavior-irrelevant marker."""
+        irrelevant: Dict[str, str] = {}
+        for stmt in _definitions(self.ctx.tree):
+            marker = marker_for(stmt, self.markers)
+            if marker is not None:
+                irrelevant[stmt.name] = marker.reason
+        return irrelevant
+
+    @property
+    def malformed_markers(self) -> Tuple[int, ...]:
+        """Line numbers of reasonless behavior-irrelevant markers."""
+        return tuple(
+            line for line in sorted(self.markers) if not self.markers[line].valid
+        )
 
 
 def _package_root() -> Path:
@@ -92,52 +152,78 @@ def _ancestors(module: str, package: str) -> List[str]:
     return names
 
 
-class ProjectModel:
-    """Parsed project: fingerprinted modules plus their dependency graph."""
+class _LazyModules(Mapping[str, ModuleInfo]):
+    """Module name -> :class:`ModuleInfo`, each parsed on first access.
 
-    def __init__(self, root: Path, package: str, modules: Dict[str, ModuleInfo]):
+    Membership, iteration and length read only the path index; the
+    ``Mapping`` default ``__contains__`` would parse the module.
+    """
+
+    def __init__(
+        self, paths: Dict[str, Path], parse: Callable[[str, Path], ModuleInfo]
+    ):
+        self._paths = paths
+        self._parse = parse
+        self._parsed: Dict[str, ModuleInfo] = {}
+
+    def __getitem__(self, name: str) -> ModuleInfo:
+        info = self._parsed.get(name)
+        if info is None:
+            info = self._parse(name, self._paths[name])
+            self._parsed[name] = info
+        return info
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._paths
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._paths)
+
+    def __len__(self) -> int:
+        return len(self._paths)
+
+
+class ProjectModel:
+    """A package tree: lazily parsed modules plus their dependency graph."""
+
+    def __init__(self, root: Path, package: str, paths: Dict[str, Path]):
         self.root = root
         self.package = package
-        self.modules = modules
+        #: Every module of the tree; indexing one parses it.
+        self.modules: Mapping[str, ModuleInfo] = _LazyModules(paths, self._parse)
 
     @classmethod
     def build(cls, root: Optional[Path] = None) -> "ProjectModel":
-        """Parse the package tree at ``root`` (default: installed repro)."""
+        """Index the package tree at ``root`` (default: installed repro)."""
         resolved = Path(root).resolve() if root is not None else _package_root()
-        package = resolved.name
-        modules: Dict[str, ModuleInfo] = {}
-        for path in _iter_sources(resolved):
-            ctx = ModuleContext.from_file(path)
-            modules[ctx.module] = _build_module(ctx)
-        model = cls(resolved, package, modules)
-        for name in sorted(modules):
-            info = modules[name]
-            info.imports = tuple(sorted(model._resolve_edges(info)))
-        return model
+        paths = {module_for_path(path): path for path in _iter_sources(resolved)}
+        return cls(resolved, resolved.name, paths)
+
+    def force(self) -> "ProjectModel":
+        """Parse every module and fingerprint every top-level definition."""
+        for name in sorted(self.modules):
+            self.modules[name].symbols  # a cached_property: reading computes it
+        return self
 
     # ------------------------------------------------------------------
-    # Graph resolution
+    # Parsing: one walk per module
     # ------------------------------------------------------------------
 
-    def _known(self, module: str) -> bool:
-        return module in self.modules
-
-    def _edge_targets(self, module: str) -> List[str]:
-        """Known modules an import of ``module`` executes (with ancestors)."""
-        return [
-            name
-            for name in _ancestors(module, self.package)
-            if self._known(name)
-        ]
-
-    def _resolve_edges(self, info: ModuleInfo) -> Set[str]:
+    def _parse(self, name: str, path: Path) -> ModuleInfo:
+        source = path.read_text(encoding="utf-8")
+        tree = ast.parse(source, filename=str(path))
+        package_parts = name.split(".")
+        aliases: Dict[str, str] = {}
         edges: Set[str] = set()
-        package_parts = info.name.split(".")
-        for node in ast.walk(info.ctx.tree):
+        chains: List[ast.expr] = []
+        owners: List[DocstringOwner] = []
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
+                add_import_aliases(aliases, node)
                 for item in node.names:
                     edges.update(self._edge_targets(item.name))
             elif isinstance(node, ast.ImportFrom):
+                add_import_aliases(aliases, node)
                 base = self._import_from_base(node, package_parts)
                 if base is None:
                     continue
@@ -145,14 +231,53 @@ class ProjectModel:
                 for item in node.names:
                     if item.name != "*":
                         edges.update(self._edge_targets(f"{base}.{item.name}"))
-            elif isinstance(node, (ast.Call, ast.Attribute)):
-                target = node.func if isinstance(node, ast.Call) else node
-                qualified = info.ctx.qualified_name(target)
-                if qualified is not None:
-                    edges.add(self._longest_module_prefix(qualified))
-        edges.discard(info.name)
+            elif isinstance(node, ast.Call):
+                chains.append(node.func)
+            elif isinstance(node, ast.Attribute):
+                chains.append(node)
+            elif isinstance(node, DOCSTRING_OWNERS):
+                owners.append(node)
+        ctx = ModuleContext(
+            path=str(path),
+            module=name,
+            source=source,
+            tree=tree,
+            lines=source.splitlines(),
+            aliases=aliases,
+        )
+        # Call/attribute chains resolve against the module's final
+        # aliases, so they wait until every import has been seen.
+        for chain in chains:
+            qualified = ctx.qualified_name(chain)
+            if qualified is not None:
+                edges.add(self._longest_module_prefix(qualified))
+        edges.discard(name)
         edges.discard("")
-        return edges
+        # The model's trees are normalized in place: docstrings are
+        # removed here so every fingerprint can hash without
+        # deep-copying.  Audit rules only inspect executable statements,
+        # so they are unaffected; original source stays in ``ctx.lines``.
+        for owner in owners:
+            strip_docstring(owner)
+        markers = parse_markers(ctx.lines) if _MARKER_TOKEN in source else {}
+        return ModuleInfo(
+            name=name,
+            path=str(path),
+            ctx=ctx,
+            imports=tuple(sorted(edges)),
+            fingerprint=fingerprint_module(tree, markers),
+            markers=markers,
+        )
+
+    # ------------------------------------------------------------------
+    # Graph resolution
+    # ------------------------------------------------------------------
+
+    def _edge_targets(self, module: str) -> List[str]:
+        """Known modules an import of ``module`` executes (with ancestors)."""
+        return [
+            name for name in _ancestors(module, self.package) if name in self.modules
+        ]
 
     def _import_from_base(
         self, node: ast.ImportFrom, package_parts: List[str]
@@ -172,7 +297,7 @@ class ProjectModel:
         parts = qualified.split(".")
         for depth in range(len(parts), 0, -1):
             candidate = ".".join(parts[:depth])
-            if self._known(candidate):
+            if candidate in self.modules:
                 return candidate
         return ""
 
@@ -190,7 +315,8 @@ class ProjectModel:
         Roots that are not present in the tree are ignored (a fixture
         tree need not mirror the full package).  ``exclude_prefixes``
         prunes both membership and traversal — an excluded module's own
-        imports are never followed.
+        imports are never followed, and it is never parsed on this
+        account.
         """
 
         def excluded(name: str) -> bool:
@@ -201,7 +327,7 @@ class ProjectModel:
 
         seen: Set[str] = set()
         frontier: List[str] = sorted(
-            name for name in roots if self._known(name) and not excluded(name)
+            name for name in roots if name in self.modules and not excluded(name)
         )
         while frontier:
             name = frontier.pop()
@@ -212,42 +338,6 @@ class ProjectModel:
                 if edge not in seen and not excluded(edge):
                     frontier.append(edge)
         return sorted(seen)
-
-
-def _build_module(ctx: ModuleContext) -> ModuleInfo:
-    # The model's trees are normalized in place: docstrings are removed
-    # once here so every fingerprint below can hash without deep-copying.
-    # Audit rules only inspect executable statements, so they are
-    # unaffected; anything needing original source has ``ctx.lines``.
-    strip_docstrings(ctx.tree)
-    markers = parse_markers(ctx.lines)
-    symbols: Dict[str, SymbolInfo] = {}
-    irrelevant: Dict[str, str] = {}
-    for stmt in ctx.tree.body:
-        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        kind = "class" if isinstance(stmt, ast.ClassDef) else "function"
-        symbols[stmt.name] = SymbolInfo(
-            name=stmt.name,
-            kind=kind,
-            line=stmt.lineno,
-            fingerprint=fingerprint_node(stmt),
-        )
-        marker = marker_for(stmt, markers)
-        if marker is not None:
-            irrelevant[stmt.name] = marker.reason
-    malformed = tuple(
-        line for line in sorted(markers) if not markers[line].valid
-    )
-    return ModuleInfo(
-        name=ctx.module,
-        path=ctx.path,
-        ctx=ctx,
-        fingerprint=fingerprint_module(ctx.tree, markers),
-        symbols=symbols,
-        irrelevant=irrelevant,
-        malformed_markers=malformed,
-    )
 
 
 def project_module_for_path(path: Path) -> str:

@@ -35,20 +35,28 @@ def module_for_path(path: Path) -> str:
     return path.stem
 
 
+def add_import_aliases(aliases: Dict[str, str], node: ast.AST) -> None:
+    """Record the local names one import statement binds into ``aliases``.
+
+    Called in ``ast.walk`` order, so a later import of a name wins.
+    """
+    if isinstance(node, ast.Import):
+        for item in node.names:
+            aliases[item.asname or item.name.split(".")[0]] = (
+                item.name if item.asname else item.name.split(".")[0]
+            )
+    elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+        for item in node.names:
+            if item.name == "*":
+                continue
+            aliases[item.asname or item.name] = f"{node.module}.{item.name}"
+
+
 def _collect_aliases(tree: ast.Module) -> Dict[str, str]:
     """Local name -> canonical dotted module/object name."""
     aliases: Dict[str, str] = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for item in node.names:
-                aliases[item.asname or item.name.split(".")[0]] = (
-                    item.name if item.asname else item.name.split(".")[0]
-                )
-        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-            for item in node.names:
-                if item.name == "*":
-                    continue
-                aliases[item.asname or item.name] = f"{node.module}.{item.name}"
+        add_import_aliases(aliases, node)
     return aliases
 
 

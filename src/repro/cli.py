@@ -42,13 +42,14 @@ from repro.faults.presets import FAULT_MODES, default_supervisor_config, fault_c
 from repro.workloads.alpbench import APP_NAMES
 
 
-def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    """The engine flags shared by every artefact command and ``all``."""
+def _add_job_flags(parser: argparse.ArgumentParser) -> None:
+    """Worker, cache and retry flags shared by every engine-backed command."""
     parser.add_argument(
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for the experiment grid (default 1: serial)",
+        help="worker processes (default 1: serial); an ensemble's members "
+        "are split into this many deterministic shards",
     )
     parser.add_argument(
         "--no-cache",
@@ -56,19 +57,12 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         help="bypass the content-addressed result cache under .repro-cache/",
     )
     parser.add_argument(
-        "--ensemble",
-        action="store_true",
-        help="batch grid cells sharing a platform closure through the "
-        "vectorized ensemble engine (bit-identical results, sharded "
-        "across --jobs worker processes)",
-    )
-    parser.add_argument(
         "--job-timeout",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="kill any single job attempt running longer than this "
-        "(parallel mode only; default: no timeout)",
+        help="kill and retry any single job or shard attempt running longer "
+        "than this (parallel mode only; default: no timeout)",
     )
     parser.add_argument(
         "--max-job-attempts",
@@ -84,6 +78,18 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         metavar="SECONDS",
         help="base of the deterministic retry backoff accounting "
         "(default 0.5)",
+    )
+
+
+def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
+    """The engine flags shared by every artefact command and ``all``."""
+    _add_job_flags(parser)
+    parser.add_argument(
+        "--ensemble",
+        action="store_true",
+        help="batch grid cells sharing a platform closure through the "
+        "vectorized ensemble engine (bit-identical results, sharded "
+        "across --jobs worker processes)",
     )
     parser.add_argument(
         "--checkpoint-every",
@@ -323,40 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=FAULT_MODES,
         help="inject faults into every member's sensor/actuation paths",
     )
-    ens_run.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="skip the content-addressed result cache",
-    )
-    ens_run.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes; members are split into this many "
-        "deterministic shards (results are bit-identical at any "
-        "shard count; default 1)",
-    )
-    ens_run.add_argument(
-        "--job-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="kill and retry a shard running longer than this",
-    )
-    ens_run.add_argument(
-        "--max-job-attempts",
-        type=int,
-        default=3,
-        help="attempts per shard before recording a failure (default 3)",
-    )
-    ens_run.add_argument(
-        "--retry-backoff",
-        type=float,
-        default=0.5,
-        metavar="SECONDS",
-        help="base of the recorded exponential retry backoff "
-        "(default 0.5)",
-    )
+    _add_job_flags(ens_run)
     ens_bench = ensemble_sub.add_parser(
         "bench",
         help="trajectories/sec benchmark and write BENCH_PR8.json",

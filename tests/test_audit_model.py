@@ -5,19 +5,32 @@ Fixture trees are written under ``<tmp>/repro/...`` so that
 for the installed package.
 """
 
+import ast
 import textwrap
+from pathlib import Path
 
+import pytest
+
+import repro.analysis.audit.project as project_module
 from repro.analysis.audit import (
+    AUDIT_BASELINE_FILENAME,
+    CLOSURE_ROOTS,
     Marker,
     ProjectModel,
+    audit_project,
     clear_closure_cache,
     closure_digest,
+    closure_report,
     compute_closure,
+    fingerprint_module,
     fingerprint_node,
+    load_audit_baseline,
     normalized_dump,
     parse_markers,
     python_tag,
+    strip_docstrings,
 )
+from repro.analysis.lint.context import ModuleContext
 
 
 def write_tree(root, files):
@@ -205,8 +218,6 @@ class TestFingerprints:
         assert symbols["f"].fingerprint != symbols["C"].fingerprint
 
     def test_normalized_dump_strips_docstrings_without_mutating(self):
-        import ast
-
         tree = ast.parse('def f():\n    """doc"""\n    return 1\n')
         dumped = normalized_dump(tree)
         assert "doc" not in dumped
@@ -214,8 +225,6 @@ class TestFingerprints:
         assert ast.get_docstring(tree.body[0]) == "doc"
 
     def test_fingerprint_node_is_stable_and_short(self):
-        import ast
-
         stmt = ast.parse("def f():\n    return 1\n").body[0]
         assert fingerprint_node(stmt) == fingerprint_node(stmt)
         assert len(fingerprint_node(stmt)) == 16
@@ -348,3 +357,240 @@ class TestClosure:
             assert closure_digest(package) != first
         finally:
             clear_closure_cache()
+
+
+# ---------------------------------------------------------------------------
+# Lazy model == forced model == the eager multi-walk derivation
+# ---------------------------------------------------------------------------
+
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+PACKAGE_ROOT = REPO_ROOT / "src" / "repro"
+
+
+def reference_module(model, name):
+    """Edges and fingerprint of one module, derived the eager way.
+
+    Separate walks for aliases (``ModuleContext.from_file``), docstring
+    stripping and edge resolution — the derivation the single-walk
+    project model replaced.
+    """
+    ctx = ModuleContext.from_file(Path(model.modules[name].path))
+    strip_docstrings(ctx.tree)
+    package_parts = name.split(".")
+    edges = set()
+    for node in ast.walk(ctx.tree):
+        if isinstance(node, ast.Import):
+            for item in node.names:
+                edges.update(model._edge_targets(item.name))
+        elif isinstance(node, ast.ImportFrom):
+            base = model._import_from_base(node, package_parts)
+            if base is None:
+                continue
+            edges.update(model._edge_targets(base))
+            for item in node.names:
+                if item.name != "*":
+                    edges.update(model._edge_targets(f"{base}.{item.name}"))
+        elif isinstance(node, (ast.Call, ast.Attribute)):
+            target = node.func if isinstance(node, ast.Call) else node
+            qualified = ctx.qualified_name(target)
+            if qualified is not None:
+                edges.add(model._longest_module_prefix(qualified))
+    edges -= {name, ""}
+    fingerprint = fingerprint_module(ctx.tree, parse_markers(ctx.lines))
+    return tuple(sorted(edges)), fingerprint
+
+
+def assert_lazy_matches_forced(package, roots=CLOSURE_ROOTS):
+    lazy = compute_closure(ProjectModel.build(package), roots)
+    forced_model = ProjectModel.build(package).force()
+    forced = compute_closure(forced_model, roots)
+    assert sorted(lazy.modules) == sorted(forced.modules)
+    assert lazy.modules == forced.modules
+    assert lazy.digest == forced.digest
+    for name in forced.modules:
+        info = forced_model.modules[name]
+        assert (info.imports, info.fingerprint) == reference_module(
+            forced_model, name
+        ), name
+    return lazy
+
+
+EQUIVALENCE_TREES = {
+    "relative-imports": {
+        "experiments/__init__.py": "",
+        "experiments/runner.py": (
+            "from . import plan\nfrom .plan import make\nfrom ..soc import chip\n"
+        ),
+        "experiments/plan.py": "def make():\n    return 1\n",
+        "soc/__init__.py": "",
+        "soc/chip.py": "X = 1\n",
+    },
+    "lazy-in-function-imports": {
+        "experiments/__init__.py": "",
+        "experiments/runner.py": """
+        def run():
+            from repro.soc.chip import temp
+
+            return temp()
+        """,
+        "soc/__init__.py": "",
+        "soc/chip.py": "def temp():\n    return 1\n",
+        "island.py": "Y = 2\n",
+    },
+    "attribute-call-edges": {
+        "experiments/__init__.py": "",
+        "experiments/runner.py": """
+        import repro
+        from repro import soc as s
+
+
+        def run():
+            return repro.soc.deep.f() + s.chip.T
+        """,
+        "soc/__init__.py": "",
+        "soc/deep.py": "def f():\n    return 5\n",
+        "soc/chip.py": "T = 1\n",
+    },
+    "later-alias-wins": {
+        "experiments/__init__.py": "",
+        "experiments/runner.py": """
+        from repro import soc as m
+
+
+        def run():
+            from repro import power as m
+
+            return m.deep.f()
+        """,
+        "soc/__init__.py": "",
+        "soc/deep.py": "def f():\n    return 1\n",
+        "power/__init__.py": "",
+        "power/deep.py": "def f():\n    return 2\n",
+    },
+    "reasoned-and-reasonless-markers": {
+        "experiments/__init__.py": '"""Package doc."""\n',
+        "experiments/runner.py": '''
+        """Runner doc."""
+        import repro.soc.chip
+
+
+        # repro: behavior-irrelevant reason=display only
+        def label():
+            """Label doc."""
+            return "v1"
+
+
+        # repro: behavior-irrelevant
+        def unreasoned():
+            return "v2"
+
+
+        class Runner:
+            """Class doc."""
+
+            def run(self):  # repro: behavior-irrelevant reason=method, not top level
+                """Method doc."""
+                return repro.soc.chip.X
+        ''',
+        "soc/__init__.py": "",
+        "soc/chip.py": "X = 1\n",
+    },
+    "excluded-tooling": dict(
+        CLOSURE_TREE,
+        **{
+            "experiments/runner.py": (
+                "import repro.soc.chip\nimport repro.analysis.audit\n"
+            ),
+            "analysis/audit/probe.py": "import repro.island\n",
+            "island.py": "Y = 2\n",
+        },
+    ),
+    "missing-roots": {"a.py": "import repro.b\n", "b.py": "X = 1\n"},
+}
+
+
+class TestLazyEquivalence:
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_TREES))
+    def test_fixture_tree(self, tmp_path, case):
+        package = write_tree(tmp_path, EQUIVALENCE_TREES[case])
+        lazy = assert_lazy_matches_forced(package)
+        clear_closure_cache()
+        try:
+            assert closure_report(package) == lazy
+        finally:
+            clear_closure_cache()
+
+    def test_fixture_closures_are_not_trivial(self, tmp_path):
+        closures = {
+            case: assert_lazy_matches_forced(
+                write_tree(tmp_path / case, files)
+            ).modules
+            for case, files in EQUIVALENCE_TREES.items()
+        }
+        assert "repro.soc.chip" in closures["relative-imports"]
+        assert "repro.soc.chip" in closures["lazy-in-function-imports"]
+        assert "repro.island" not in closures["lazy-in-function-imports"]
+        assert "repro.soc.deep" in closures["attribute-call-edges"]
+        assert "repro.power.deep" in closures["later-alias-wins"]
+        assert "repro.soc.deep" not in closures["later-alias-wins"]
+        assert "repro.analysis.audit" not in closures["excluded-tooling"]
+        assert "repro.island" not in closures["excluded-tooling"]
+        assert closures["missing-roots"] == {}
+
+    def test_custom_roots(self, tmp_path):
+        package = write_tree(tmp_path, EQUIVALENCE_TREES["missing-roots"])
+        lazy = assert_lazy_matches_forced(package, roots=("repro.a", "repro.nope"))
+        assert sorted(lazy.modules) == ["repro", "repro.a", "repro.b"]
+
+    def test_real_tree(self):
+        lazy = assert_lazy_matches_forced(PACKAGE_ROOT)
+        assert lazy == closure_report()
+
+    def test_real_tree_digest_matches_committed_baseline(self):
+        baseline = load_audit_baseline(REPO_ROOT / AUDIT_BASELINE_FILENAME)
+        if not baseline.comparable:
+            pytest.skip("baseline recorded under another Python minor")
+        assert compute_closure(ProjectModel.build()).digest == baseline.closure_digest
+
+
+class TestWorkCounts:
+    """The digest parses only the closure; the audit parses everything."""
+
+    def counted(self, monkeypatch):
+        calls = {"parse": 0, "fingerprint_node": 0}
+        real_parse = ast.parse
+        real_fingerprint = project_module.fingerprint_node
+
+        def parse(*args, **kwargs):
+            calls["parse"] += 1
+            return real_parse(*args, **kwargs)
+
+        def fingerprint(node):
+            calls["fingerprint_node"] += 1
+            return real_fingerprint(node)
+
+        monkeypatch.setattr(ast, "parse", parse)
+        monkeypatch.setattr(project_module, "fingerprint_node", fingerprint)
+        return calls
+
+    def test_closure_digest_parses_only_the_closure(self, monkeypatch):
+        sources = sorted(PACKAGE_ROOT.rglob("*.py"))
+        calls = self.counted(monkeypatch)
+        report = compute_closure(ProjectModel.build())
+        assert calls["parse"] == len(report.modules)
+        assert calls["parse"] < len(sources)
+        assert calls["fingerprint_node"] == 0
+
+    def test_audit_forces_every_module_and_symbol(self, monkeypatch):
+        sources = sorted(PACKAGE_ROOT.rglob("*.py"))
+        definitions = sum(
+            isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            for path in sources
+            for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+        )
+        calls = self.counted(monkeypatch)
+        report = audit_project()
+        assert report.files == len(sources)
+        assert calls["parse"] == len(sources)
+        assert calls["fingerprint_node"] == definitions
